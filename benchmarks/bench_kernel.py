@@ -54,23 +54,12 @@ def test_alarm_inversion_with_rate_changes(benchmark):
 
 
 def test_delivery_batching_throughput_d64(benchmark):
-    """The batched delivery fast path on a delivery-bound D=64 flood.
-
-    The same workload through the legacy per-message-event path is
-    ``test_delivery_legacy_throughput_d64`` below; the batched run
-    must deliver the identical message stream (same count, same
-    handler order) with fewer kernel events.
-    """
-    delivered, kernel_events = benchmark(_delivery_flood, True, 64, 6)
+    """Network delivery on a delivery-bound D=64 flood: the whole
+    message stream drains through flush wake-ups, not one kernel event
+    per message."""
+    delivered, kernel_events = benchmark(_delivery_flood, 64, 6)
     assert delivered == 15_732
-    assert kernel_events < delivered  # one wake-up per batch
-
-
-def test_delivery_legacy_throughput_d64(benchmark):
-    """Reference: the unbatched per-message event stream at D=64."""
-    delivered, kernel_events = benchmark(_delivery_flood, False, 64, 6)
-    assert delivered == 15_732
-    assert kernel_events == delivered  # one kernel event per message
+    assert kernel_events == 1  # no other events: one flush drains all
 
 
 def test_system_round_throughput(benchmark):

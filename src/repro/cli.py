@@ -18,9 +18,7 @@ Usage::
 Experiment ids are the T-identifiers of DESIGN.md section 3
 (``t01`` … ``t18``); every one of them executes through
 :func:`~repro.harness.registry.run_experiment` and the parallel sweep
-engine, so ``--processes`` applies everywhere.  The bare legacy forms
-(``python -m repro t07``, ``python -m repro --list``) still work and
-map onto ``run``/``list``.
+engine, so ``--processes`` applies everywhere.
 
 ``bench-quick`` is the pre-merge smoke check: the substrate
 microbenchmarks of :mod:`repro.harness.microbench` plus one registry
@@ -50,9 +48,6 @@ from typing import Sequence
 from repro.errors import ConfigError
 from repro.harness.registry import REGISTRY, run_experiment
 
-#: Subcommand names (the legacy shim treats anything else as `run` ids).
-COMMANDS = ("run", "list", "show", "bench-quick", "serve", "cache",
-            "lint")
 BENCH_QUICK = "bench-quick"
 
 #: Extensions `run --save` understands, mapped to the Table writer.
@@ -193,26 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
              "rules only; useful on partial checkouts)")
 
     return parser
-
-
-def _rewrite_legacy_argv(argv: Sequence[str]) -> list[str]:
-    """Map the pre-registry surface onto subcommands.
-
-    ``repro --list`` -> ``repro list``; ``repro t07 [flags]`` ->
-    ``repro run t07 [flags]``.  Already-subcommand argv is untouched.
-    """
-    argv = list(argv)
-    if not argv:
-        return argv
-    if argv[0] in COMMANDS:
-        return argv
-    if "--list" in argv:
-        return ["list"]
-    if argv[0].startswith("-"):
-        # Top-level flags (-h/--help) go to the root parser; a legacy
-        # id followed by --help falls through and shows `run --help`.
-        return argv
-    return ["run"] + argv
 
 
 def list_experiments() -> str:
@@ -483,7 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(_rewrite_legacy_argv(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse error or --help
         code = exit_.code
         return code if isinstance(code, int) else 2

@@ -697,6 +697,18 @@ class SystemBuilder:
         return System(protocol, ctx)
 
 
+def reject_unknown_keys(mapping: dict, allowed: tuple, what: str,
+                        name: str, engine: str) -> None:
+    """Raise :class:`ConfigError` naming every key of ``mapping``
+    outside ``allowed`` (adapters call it on ``payload``/``config``
+    before handing them to a constructor)."""
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"{name} on the {engine} engine does not accept {what} "
+            f"key(s) {unknown}; supported: {sorted(allowed)}")
+
+
 # ----------------------------------------------------------------------
 # Protocol registry
 # ----------------------------------------------------------------------

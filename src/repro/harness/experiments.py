@@ -30,9 +30,7 @@ implementation bit-for-bit), the T10 randomized trigger check
 ``quick=True`` (the default) is the CI size; ``quick=False`` the full
 sweeps reported in EXPERIMENTS.md.
 
-The module-level ``t01_…()`` … ``t14_…()`` functions remain as thin
-wrappers over :func:`run_experiment` for backward compatibility; new
-code should call the registry directly::
+Run one with the registry::
 
     from repro.harness import run_experiment
     table = run_experiment("t09", quick=True, processes=4)
@@ -40,7 +38,6 @@ code should call the registry directly::
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.analysis.bounds import (
@@ -54,11 +51,7 @@ from repro.baselines.gcs_single import GcsParams
 from repro.baselines.srikanth_toueg import StParams
 from repro.core.params import Parameters
 from repro.core.rounds import RoundSchedule
-from repro.harness.registry import (
-    REGISTRY,
-    ExperimentPlan,
-    run_experiment,
-)
+from repro.harness.registry import REGISTRY, ExperimentPlan
 from repro.harness.runner import (
     default_params,
     gradient_offsets,
@@ -96,7 +89,7 @@ def fast_dynamics_params(rho: float = 1e-4, d: float = 1.0,
     columns=["D", "global S", "local cluster", "cluster bound",
              "local node", "node bound", "holds"],
     default_seed=1)
-def t01_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t01(quick: bool, seed: int) -> ExperimentPlan:
     params = fast_dynamics_params(f=1)
     diameters = (2, 4, 8) if quick else (2, 4, 8, 16, 32)
     rounds = 40 if quick else 80
@@ -185,7 +178,7 @@ def t01_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["f", "k", "attack", "steady skew", "bound 2*theta_g*E",
              "bound B.8", "max ||p(r)||", "E", "holds"],
     default_seed=2)
-def t02_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t02(quick: bool, seed: int) -> ExperimentPlan:
     fault_counts = (1, 2) if quick else (1, 2, 3)
     rounds = 30 if quick else 60
     attacks = ("equivocate", "silent")
@@ -230,7 +223,7 @@ def t02_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["system", "attack", "intra", "local cluster",
              "bounds hold", "trend"],
     default_seed=3)
-def t03_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t03(quick: bool, seed: int) -> ExperimentPlan:
     params = default_params(f=1)
     rounds = 15 if quick else 40
     ring_size = 4 if quick else 6
@@ -295,7 +288,7 @@ def t03_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["D", "S injected", "MS interior max", "FTGCS interior max",
              "FTGCS cap 2*kappa+slack", "MS/S ratio"],
     default_seed=4)
-def t04_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t04(quick: bool, seed: int) -> ExperimentPlan:
     params = fast_dynamics_params(f=0)
     diameters = (3, 5) if quick else (3, 5, 9)
     injected = 6.0 * params.kappa
@@ -348,7 +341,7 @@ def t04_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["f", "p", "monte carlo", "exact tail",
              "C(3f+1,f+1)p^(f+1)", "(3ep)^(f+1)", "ordered"],
     default_seed=5)
-def t05_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t05(quick: bool, seed: int) -> ExperimentPlan:
     trials = 40_000 if quick else 400_000
     grid = [(f, p) for f in (1, 2, 3) for p in (0.01, 0.05, 0.1)]
     specs = []
@@ -391,7 +384,7 @@ def t05_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["cluster", "mode", "rounds", "min rate", "max rate",
              "fast floor", "slow band lo", "slow band hi", "holds"],
     default_seed=6)
-def t06_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t06(quick: bool, seed: int) -> ExperimentPlan:
     params = default_params(f=1)
     rounds = 25 if quick else 50
     specs = [
@@ -469,7 +462,7 @@ def t06_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["c1", "E", "T", "min fast rate", "max slow rate",
              "worst gap", "worst gap / mu", "fast outruns slow"],
     default_seed=7)
-def t07_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t07(quick: bool, seed: int) -> ExperimentPlan:
     rho, d, u = 1e-4, 1.0, 0.1
     structural = (0.5 - 0.05) / ((1 + 32.0) * rho)
     c1_values = (3.0, 30.0, structural) if quick else (
@@ -526,7 +519,7 @@ def t07_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["graph", "f", "k", "nodes", "node factor", "edges",
              "edge factor"],
     default_seed=8)
-def t08_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t08(quick: bool, seed: int) -> ExperimentPlan:
     graphs = [("line", (8,)), ("ring", (8,)), ("grid", (4, 4))]
     if not quick:
         graphs += [("torus", (4, 4)), ("hypercube", (4,)),
@@ -568,7 +561,7 @@ def t08_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["scenario", "D", "policy", "global skew",
              "bound c*delta*(D+1)", "holds"],
     default_seed=9)
-def t09_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t09(quick: bool, seed: int) -> ExperimentPlan:
     params = fast_dynamics_params(f=1, c_global=2.0)
     diameters = (2, 4) if quick else (2, 4, 8)
     rounds = 20 if quick else 40
@@ -640,7 +633,7 @@ def t09_plan(quick: bool, seed: int) -> ExperimentPlan:
           "matching trigger on estimates perturbed by up to 2E.",
     columns=["check", "cases", "violations"],
     default_seed=10)
-def t10_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t10(quick: bool, seed: int) -> ExperimentPlan:
     params = default_params(f=1)
     rounds = 12 if quick else 30
     graphs = (("line", (3,)), ("ring", (4,)))
@@ -689,7 +682,7 @@ def t10_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["U/d", "LW steady skew", "LW bound", "ST steady skew",
              "ST bound O(d)"],
     default_seed=11)
-def t11_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t11(quick: bool, seed: int) -> ExperimentPlan:
     rho, d = 1e-4, 1.0
     u_values = (0.2, 0.05) if quick else (0.5, 0.2, 0.05, 0.01)
     rounds = 25 if quick else 60
@@ -738,7 +731,7 @@ def t11_plan(quick: bool, seed: int) -> ExperimentPlan:
           "predicted e(r) as it contracts geometrically to E.",
     columns=["round", "predicted e(r)", "measured ||p(r)||", "within"],
     default_seed=12)
-def t12_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t12(quick: bool, seed: int) -> ExperimentPlan:
     params = default_params(f=1)
     e1 = 20.0 * params.cap_e
     rounds = 30 if quick else 80
@@ -805,7 +798,7 @@ def _stabilization_time(samples, band: float = 1.2,
     columns=["graph", "churn", "ftgcs local", "ftgcs global",
              "gcs local", "gcs global"],
     default_seed=13)
-def t13_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t13(quick: bool, seed: int) -> ExperimentPlan:
     params = fast_dynamics_params(f=1)
     gcs_params = _fast_gcs_params()
     graphs = [("line", (4,)), ("ring", (4,))]
@@ -940,7 +933,7 @@ def ftgcs_params_for_mu(mu: float, d: float = 1.0,
              "steady global", "local/kappa", "kappa-fit slope",
              "kappa-fit residual"],
     default_seed=14)
-def t14_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t14(quick: bool, seed: int) -> ExperimentPlan:
     diameters = (4, 8, 32, 64) if quick else (4, 8, 16, 32, 64)
     mu_values = (0.02, 0.05, 0.1) if quick else (0.02, 0.05, 0.1, 0.2)
     horizon = 400.0 if quick else 1200.0
@@ -1060,7 +1053,7 @@ def t14_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["graph", "T", "local skew", "global skew", "bring-ups",
              "resyncs", "stabilized by"],
     default_seed=15)
-def t15_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t15(quick: bool, seed: int) -> ExperimentPlan:
     params = fast_dynamics_params(f=1)
     graphs = [("ring", (4,))]
     if not quick:
@@ -1125,7 +1118,7 @@ def t15_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["protocol", "loss", "churn", "steady local skew",
              "stabilized by", "lost", "link-down", "crashes", "rejoins"],
     default_seed=16)
-def t16_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t16(quick: bool, seed: int) -> ExperimentPlan:
     params = fast_dynamics_params(f=1)
     gcs_params = _fast_gcs_params()
     loss_rates = (0.0, 0.05, 0.2) if quick else (0.0, 0.02, 0.05,
@@ -1253,7 +1246,7 @@ def t16_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["topology", "D", "nodes", "engine", "rounds",
              "local skew", "global skew", "rounds/s", "agrees"],
     default_seed=17)
-def t17_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t17(quick: bool, seed: int) -> ExperimentPlan:
     # The drift-sawtooth cell of the equivalence matrix: odd/even
     # neighbors drift apart at rho per unit time, hit the first
     # trigger level (2*kappa - slack), and fast mode pulls them back.
@@ -1354,7 +1347,7 @@ def t17_plan(quick: bool, seed: int) -> ExperimentPlan:
     columns=["protocol", "adversary", "amplitude", "engine", "nodes",
              "local skew", "extra", "envelope", "within", "rounds/s"],
     default_seed=18)
-def t18_plan(quick: bool, seed: int) -> ExperimentPlan:
+def plan_t18(quick: bool, seed: int) -> ExperimentPlan:
     ft = fast_dynamics_params(f=1)
     gcs = GcsParams(rho=1e-3, d=1.0, u=0.01, mu=0.01, period=10.0,
                     kappa=0.3, slack=0.1)
@@ -1490,200 +1483,3 @@ def t18_plan(quick: bool, seed: int) -> ExperimentPlan:
         return table
 
     return ExperimentPlan(specs=specs, finish=finish)
-
-
-# ----------------------------------------------------------------------
-# Backward-compatible wrappers
-# ----------------------------------------------------------------------
-
-def t01_local_skew_vs_diameter(quick: bool = True, seed: int = 1,
-                               processes: int | None = None) -> Table:
-    """Line networks with one equivocator per cluster and an initial
-    inter-cluster gradient of ``2.2 kappa`` per edge (forcing trigger
-    activity).  Measured steady local skews vs the Theorem 1.1 bounds.
-    """
-    return run_experiment("t01", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t02_intra_cluster_skew(quick: bool = True, seed: int = 2,
-                           processes: int | None = None) -> Table:
-    """Single clusters of size 3f+1 under the strongest pulse attacks;
-    steady intra-cluster skew against both forms of the bound."""
-    return run_experiment("t02", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t03_attack_gallery(quick: bool = True, seed: int = 3,
-                       processes: int | None = None) -> Table:
-    """Every strategy against a ring; all FTGCS bounds must hold.
-    The last rows run the *fault-intolerant* GCS baseline under a
-    single liar: its correct-edge local skew grows without bound."""
-    return run_experiment("t03", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t04_master_slave_compression(quick: bool = True, seed: int = 4,
-                                 processes: int | None = None) -> Table:
-    """Inject a global skew ``S`` at the root of a line; the classic
-    (jump-based) master–slave tree propagates the *full* S across every
-    interior edge, while FTGCS caps interior edges near ``2 kappa``."""
-    return run_experiment("t04", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t05_failure_probability(quick: bool = True, seed: int = 5,
-                            processes: int | None = None) -> Table:
-    """Monte Carlo estimate vs the exact tail and both printed bounds."""
-    return run_experiment("t05", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t06_unanimous_rates(quick: bool = True, seed: int = 6,
-                        processes: int | None = None) -> Table:
-    """Two clusters offset by 3*kappa: the laggard runs unanimously
-    fast, the leader unanimously slow.  Measures amortized per-round
-    rates and pulse diameters against Lemma 3.6's guarantees."""
-    return run_experiment("t06", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t07_ablation_c1(quick: bool = True, seed: int = 7,
-                    processes: int | None = None) -> Table:
-    """Sweep ``c1``: with a short phase 3 (small c1), Lynch–Welch
-    corrections eat the entire ``mu`` speed budget and fast clusters
-    cannot outrun slow ones; the paper's ``c1 = Theta(1/rho)`` restores
-    the gap.  This is the 'main obstacle' of Section 1, measured."""
-    return run_experiment("t07", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t08_overheads(quick: bool = True, seed: int = 8,
-                  processes: int | None = None) -> Table:
-    """Exact node/edge counts of the augmentation across topologies."""
-    return run_experiment("t08", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t09_global_skew(quick: bool = True, seed: int = 9,
-                    processes: int | None = None) -> Table:
-    """(a) Global skew stays below ``c_global * delta * (D+1)`` across
-    diameters; (b) a lagging tail converges faster with the Theorem C.3
-    max-rule than with slow-default (parallel vs sequential wakeup)."""
-    return run_experiment("t09", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t10_trigger_exclusion(quick: bool = True, seed: int = 10,
-                          processes: int | None = None) -> Table:
-    """(a) In every simulated scenario, no round ever satisfies both
-    triggers; (b) randomized check of Lemma 4.8's core step: conditions
-    on true cluster clocks imply triggers on estimates perturbed by up
-    to 2E, for delta = (k_stab+5)E and kappa = 3*delta."""
-    return run_experiment("t10", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t11_lw_vs_st(quick: bool = True, seed: int = 11,
-                 processes: int | None = None) -> Table:
-    """Clique synchronization quality as ``U`` shrinks relative to
-    ``d``: Lynch–Welch's bound is ``O(U + (theta-1)d)`` while
-    Srikanth–Toueg carries an ``O(d)`` worst case.  We report measured
-    steady skews (benign adversary) alongside both bounds."""
-    return run_experiment("t11", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t12_convergence(quick: bool = True, seed: int = 12,
-                    processes: int | None = None) -> Table:
-    """Single cluster started with pulse spread ~ e(1) >> E under the
-    adaptive round schedule: measured ``||p(r)||`` must stay below the
-    predicted ``e(r)`` as it contracts geometrically to E."""
-    return run_experiment("t12", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t13_dynamic_networks(quick: bool = True, seed: int = 13,
-                         processes: int | None = None) -> Table:
-    """Dynamic-topology sweep: FTGCS vs fault-intolerant GCS under
-    i.i.d. edge churn on line/ring/grid (skew vs churn rate)."""
-    return run_experiment("t13", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t14_parameter_grid(quick: bool = True, seed: int = 14,
-                       processes: int | None = None) -> Table:
-    """Gradient-TRIX-style design-space sweep: steady gradient skew
-    across the mu grid and diameters up to D=64, with a per-row-group
-    kappa-vs-measured-skew log-log regression column and an FTGCS
-    comparison block on the same mu grid (infeasible mu reported as
-    the Eq. (5) frontier)."""
-    return run_experiment("t14", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t15_t_interval(quick: bool = True, seed: int = 15,
-                   processes: int | None = None) -> Table:
-    """T-interval-connectivity sweep: local skew and stabilization
-    time vs T against a rotating worst-case spanning backbone, with
-    first-contact estimator bring-up."""
-    return run_experiment("t15", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t16_robustness(quick: bool = True, seed: int = 16,
-                   processes: int | None = None) -> Table:
-    """Robustness sweep: local skew, stabilization time, and loss/churn
-    accounting for FTGCS vs the GCS and master-slave baselines over a
-    message-loss-rate x node-churn-rate grid."""
-    return run_experiment("t16", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t17_scale(quick: bool = True, seed: int = 17,
-              processes: int | None = None) -> Table:
-    """Vectorized-engine scale sweep: cross-engine GCS skew agreement
-    at small diameters, then caterpillar graphs up to D=256 with 1e5+
-    nodes (1e6 in full mode), with measured rounds/s per engine."""
-    return run_experiment("t17", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t18_resilience(quick: bool = True, seed: int = 18,
-                   processes: int | None = None) -> Table:
-    """Adversarial resilience sweep: injected-error magnitude vs
-    achieved skew for FTGCS, gcs_single, and srikanth_toueg under the
-    unified adversary layer — static vs search-based adaptive models,
-    both engines, with the analytic absorption envelope alongside."""
-    return run_experiment("t18", quick=quick, seed=seed,
-                          processes=processes)
-
-
-#: All experiments, for "run everything" entry points.
-ALL_EXPERIMENTS = {
-    "t01": t01_local_skew_vs_diameter,
-    "t02": t02_intra_cluster_skew,
-    "t03": t03_attack_gallery,
-    "t04": t04_master_slave_compression,
-    "t05": t05_failure_probability,
-    "t06": t06_unanimous_rates,
-    "t07": t07_ablation_c1,
-    "t08": t08_overheads,
-    "t09": t09_global_skew,
-    "t10": t10_trigger_exclusion,
-    "t11": t11_lw_vs_st,
-    "t12": t12_convergence,
-    "t13": t13_dynamic_networks,
-    "t14": t14_parameter_grid,
-    "t15": t15_t_interval,
-    "t16": t16_robustness,
-    "t17": t17_scale,
-    "t18": t18_resilience,
-}
-
-
-def run_all(quick: bool = True,
-            processes: int | None = None) -> list[Table]:
-    """Run every experiment; returns the tables in order."""
-    return [run_experiment(id, quick=quick, processes=processes)
-            for id in REGISTRY.ids()]

@@ -124,18 +124,16 @@ def bench_system_rounds(rounds: int = 4, repeats: int = 3) -> dict:
             "events_per_second": events[0] / best}
 
 
-def _delivery_flood(batched: bool, diameter: int,
-                    ttl: int) -> tuple[int, int]:
+def _delivery_flood(diameter: int, ttl: int) -> tuple[int, int]:
     """One D-diameter line flood: every node seeds one broadcast and
     each delivery re-broadcasts until its hop budget runs out, so
-    in-flight messages are the entire event population — the regime
-    batched delivery targets.  Returns ``(delivered, kernel_events)``.
+    in-flight messages are the entire event population.  Returns
+    ``(delivered, kernel_events)``.
     """
     sim = Simulator()
     rng = random.Random(7)
     net = Network(sim, d=1.0, u=0.5,
-                  default_delay_model=UniformDelay(1.0, 0.5, rng),
-                  batched=batched)
+                  default_delay_model=UniformDelay(1.0, 0.5, rng))
     n = diameter + 1
 
     def forward(node: int, message, _t: float) -> None:
@@ -154,29 +152,20 @@ def _delivery_flood(batched: bool, diameter: int,
 
 def bench_delivery_batching(diameter: int = 64, ttl: int = 6,
                             repeats: int = 3) -> dict:
-    """Batched vs legacy delivery on a delivery-bound D=64 line flood.
-
-    Measures the same message stream through both network paths
-    (handler execution order is bit-identical); ``speedup`` is legacy
-    wall clock over batched wall clock — the headline number for the
-    batched-delivery fast path.
-    """
+    """Network delivery on a delivery-bound D=64 line flood
+    (messages/second, plus the kernel events the flushes took)."""
     last: list = [None]
 
-    def run_batched() -> None:
-        last[0] = _delivery_flood(True, diameter, ttl)
+    def run() -> None:
+        last[0] = _delivery_flood(diameter, ttl)
 
-    batched_best = _best_of(run_batched, repeats)
-    legacy_best = _best_of(
-        lambda: _delivery_flood(False, diameter, ttl), repeats)
+    best = _best_of(run, repeats)
     # The flood is deterministic, so the timed runs' (delivered,
     # kernel_events) are the reported ones — no extra run needed.
     delivered, kernel_events = last[0]
     return {"name": "delivery_batching", "diameter": diameter,
             "messages": delivered, "kernel_events": kernel_events,
-            "seconds": batched_best, "legacy_seconds": legacy_best,
-            "messages_per_second": delivered / batched_best,
-            "speedup": legacy_best / batched_best}
+            "seconds": best, "messages_per_second": delivered / best}
 
 
 def bench_vectorized_rounds(nodes: int = 20_000, rounds: int = 50,
@@ -353,8 +342,8 @@ def microbench_table(results: list[dict]) -> Table:
             table.add_row(
                 f"delivery D={r['diameter']} "
                 f"({r['messages']} msgs)", r["seconds"],
-                r["speedup"], "batched/legacy speedup "
-                f"({r['messages_per_second']:,.0f} msg/s)")
+                r["messages_per_second"],
+                f"msg/s ({r['kernel_events']} kernel events)")
         elif r["name"] == "adversary_overhead":
             if r["seconds"] is None:
                 table.add_row("adversary overhead", float("nan"),

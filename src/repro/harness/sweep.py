@@ -43,12 +43,6 @@ Cell kinds
     Pure graph accounting: node/edge counts of the augmentation across
     fault budgets; no simulation at all.
 
-The historical per-algorithm kinds (``"ftgcs"``, ``"master_slave"``,
-``"gcs_single"``, ``"srikanth_toueg"``) remain registered as thin
-aliases that forward to the ``"protocol"`` runner with the matching
-protocol name; they accept the same payloads and return the unified
-result shape.
-
 Kind-specific knobs travel in ``spec.payload`` (a picklable dict);
 :func:`register_cell_kind` adds custom kinds.  Custom kinds registered
 outside this module are visible to pool workers only under the
@@ -473,18 +467,6 @@ def _run_protocol_cell(spec: ScenarioSpec) -> SweepCellResult:
                            pulse_diameters=pulses, extras=extras)
 
 
-def _legacy_protocol_kind(name: str) -> Callable[[ScenarioSpec],
-                                                 SweepCellResult]:
-    """Back-compat alias: historical per-algorithm kinds forward to
-    the generic ``"protocol"`` runner with the matching protocol."""
-
-    def run(spec: ScenarioSpec) -> SweepCellResult:
-        return _run_protocol_cell(
-            replace(spec, kind="protocol", protocol=name))
-
-    return run
-
-
 #: ``(seed, draws_consumed) -> random.Random state`` — lets consecutive
 #: ``failure_mc`` cells of one grid continue the shared stream instead
 #: of fast-forwarding from scratch (serial and chunked-pool runs then
@@ -584,15 +566,9 @@ def _run_augment_counts_cell(spec: ScenarioSpec) -> SweepCellResult:
                 "edges": graph.num_edges, "rows": rows})
 
 
-#: Worker routines addressable by ``ScenarioSpec.kind``.  The
-#: per-algorithm names are aliases of ``"protocol"`` (module
-#: docstring).
+#: Worker routines addressable by ``ScenarioSpec.kind``.
 CELL_KINDS: dict[str, Callable[[ScenarioSpec], SweepCellResult]] = {
     "protocol": _run_protocol_cell,
-    "ftgcs": _legacy_protocol_kind("ftgcs"),
-    "master_slave": _legacy_protocol_kind("master_slave"),
-    "gcs_single": _legacy_protocol_kind("gcs_single"),
-    "srikanth_toueg": _legacy_protocol_kind("srikanth_toueg"),
     "failure_mc": _run_failure_mc_cell,
     "trigger_fuzz": _run_trigger_fuzz_cell,
     "augment_counts": _run_augment_counts_cell,

@@ -51,28 +51,21 @@ enforced — so experiments can measure degradation under heavy-tailed
 delays.  See :mod:`repro.net.delays` for the documented out-of-model
 policy.
 
-Batched delivery (the default fast path)
-----------------------------------------
+Batched delivery
+----------------
 In-flight messages dominate the event population of large runs (at
 diameter 64 they outnumber every alarm and sampler event combined), so
-by default the network does **not** allocate one kernel event per
-message.  Instead every send pushes a plain ``(time, seq, receiver,
-message)`` tuple onto an internal delivery heap — with ``seq`` drawn
-from the *kernel's* sequence counter, exactly the number the legacy
-per-message event would have carried — and a single *flush* event,
-co-keyed with the earliest pending delivery, wakes the network up.
-One wake-up then drains every consecutively-due delivery (all entries
-whose ``(time, seq)`` key precedes the kernel's next queued event and
-the current run horizon), advancing ``sim.now`` per entry.
-
-Because seq allocation, delivery times, and the position of every
-delivery relative to every other kernel event are all unchanged,
-handler execution order is **bit-identical** to the legacy
-one-event-per-message stream; only ``Simulator.events_processed``
-shrinks (one flush per batch instead of one event per message).
-``batched=False`` restores the legacy stream for A/B measurements
-(``SystemConfig.batched_delivery`` surfaces the knob on the FTGCS
-family).
+the network does **not** allocate one kernel event per message.
+Instead every send pushes a plain ``(time, seq, receiver, message,
+sender)`` tuple onto an internal delivery heap — with ``seq`` drawn
+from the *kernel's* sequence counter, so each delivery keeps its place
+among all other kernel events — and a single *flush* event, co-keyed
+with the earliest pending delivery, wakes the network up.  One wake-up
+then drains every consecutively-due delivery (all entries whose
+``(time, seq)`` key precedes the kernel's next queued event and the
+current run horizon), advancing ``sim.now`` per entry.  Handlers run
+in the same order as one kernel event per message would give; only
+``Simulator.events_processed`` is smaller (one flush per batch).
 """
 
 from __future__ import annotations
@@ -105,15 +98,10 @@ class Network:
     default_delay_model:
         Model used by links that do not override it.  ``None`` means
         links must each specify their own model.
-    batched:
-        Deliver through the batched fast path (module docstring).
-        ``False`` restores the legacy one-kernel-event-per-message
-        stream; handler execution order is bit-identical either way.
     """
 
     def __init__(self, sim: Simulator, d: float, u: float,
-                 default_delay_model: DelayModel | None = None,
-                 batched: bool = True) -> None:
+                 default_delay_model: DelayModel | None = None) -> None:
         if d <= 0:
             raise NetworkError(f"d must be positive: {d!r}")
         if not 0 <= u <= d:
@@ -130,11 +118,9 @@ class Network:
         #: static topologies — the common case the hot paths check
         #: with one falsy test.
         self._inactive: set[tuple[int, int]] = set()
-        self.batched = bool(batched)
         #: Pending ``(time, seq, receiver, message, sender)``
-        #: deliveries (batched mode); ``seq`` comes from the kernel's
-        #: counter so ordering against kernel events matches the
-        #: legacy stream.
+        #: deliveries; ``seq`` comes from the kernel's counter so
+        #: ordering against kernel events is exact.
         self._pending: list[tuple[float, int, int, Any, int]] = []
         #: ``(time, seq)`` of the earliest armed flush event, or
         #: ``None``.  Invariant: whenever ``_pending`` is non-empty
@@ -277,34 +263,17 @@ class Network:
             self, pairs: tuple[tuple[int, int], ...]) -> None:
         """Drop queued deliveries traversing the directed ``pairs``.
 
-        Batched mode filters the delivery heap; legacy mode lazily
-        cancels the matching per-message kernel events.  Neither path
-        perturbs sequence allocation, so the surviving deliveries keep
-        their exact legacy ordering.
+        Filters the delivery heap without touching sequence numbers,
+        so the surviving deliveries keep their exact ordering.
         """
-        dropped = 0
         directed = set(pairs)
-        if self._pending:
-            kept = [entry for entry in self._pending
-                    if (entry[4], entry[2]) not in directed]
-            dropped += len(self._pending) - len(kept)
-            if dropped:
-                heapify(kept)
-                self._pending = kept
-        # Legacy per-message events (and any scheduled before a
-        # batched-mode switch): cancel without reordering survivors.
-        # NB: ``==``, not ``is`` — every ``self._deliver`` access makes
-        # a fresh bound-method object; they compare equal, never
-        # identical.
-        deliver = self._deliver
-        for _, _, event in self._sim._queue._heap:
-            if (event.callback == deliver and not event.cancelled
-                    and not event.fired):
-                args = event.args
-                if len(args) >= 3 and (args[2], args[0]) in directed:
-                    self._sim.cancel(event)
-                    dropped += 1
-        self.dropped_in_flight += dropped
+        kept = [entry for entry in self._pending
+                if (entry[4], entry[2]) not in directed]
+        dropped = len(self._pending) - len(kept)
+        if dropped:
+            heapify(kept)
+            self._pending = kept
+            self.dropped_in_flight += dropped
 
     def link_active(self, a: int, b: int) -> bool:
         """Whether the existing link ``{a, b}`` currently carries
@@ -370,11 +339,7 @@ class Network:
         delay = model.draw(sender, receiver, self._sim.now)
         self._validate_drawn(model, delay)
         self.messages_sent += 1
-        if self.batched:
-            self._schedule_delivery(delay, receiver, message, sender)
-        else:
-            self._sim.call_in(delay, self._deliver, receiver, message,
-                              sender)
+        self._schedule_delivery(delay, receiver, message, sender)
 
     def send_with_delay(self, sender: int, receiver: int, message: Any,
                         delay: float) -> None:
@@ -397,11 +362,7 @@ class Network:
             return
         self._validate_delay(delay)
         self.messages_sent += 1
-        if self.batched:
-            self._schedule_delivery(delay, receiver, message, sender)
-        else:
-            self._sim.call_in(delay, self._deliver, receiver, message,
-                              sender)
+        self._schedule_delivery(delay, receiver, message, sender)
 
     def broadcast(self, sender: int, message: Any) -> int:
         """Send ``message`` to every neighbor; returns the copy count.
@@ -417,7 +378,6 @@ class Network:
         now = self._sim.now
         inactive = self._inactive
         loss = self._loss
-        batched = self.batched
         copies = 0
         for receiver in neighbors:
             if inactive and (sender, receiver) in inactive:
@@ -430,31 +390,22 @@ class Network:
             delay = model.draw(sender, receiver, now)
             self._validate_drawn(model, delay)
             self.messages_sent += 1
-            if batched:
-                self._schedule_delivery(delay, receiver, message, sender)
-            else:
-                self._sim.call_in(delay, self._deliver, receiver,
-                                  message, sender)
+            self._schedule_delivery(delay, receiver, message, sender)
             copies += 1
         return copies
 
     @property
     def pending_deliveries(self) -> int:
-        """In-flight messages not yet handed to a receiver.
-
-        Batched mode: the delivery heap's size.  Legacy mode: always 0
-        (per-message kernel events are not tracked here — use
-        ``sim.pending_events``).
-        """
+        """In-flight messages not yet handed to a receiver."""
         return len(self._pending)
 
     def _schedule_delivery(self, delay: float, receiver: int,
                            message: Any, sender: int) -> None:
-        """Queue one delivery on the batched path.
+        """Queue one delivery on the delivery heap.
 
-        The entry takes the kernel sequence number the legacy
-        per-message event would have consumed, so ordering against
-        every other kernel event is unchanged; a flush wake-up is
+        The entry takes a kernel sequence number, exactly as a
+        per-message kernel event would, so ordering against every
+        other kernel event is exact; a flush wake-up is
         (re)armed whenever this entry becomes the earliest pending
         delivery.  ``sender`` rides along (heap keys are the first two
         elements, so ordering is untouched) purely for in-flight
@@ -489,9 +440,9 @@ class Network:
         Fired by a kernel wake-up co-keyed with a delivery entry.  The
         drain hands over every pending entry whose ``(time, seq)`` key
         precedes both the kernel's next *foreign* queued event and the
-        active run horizon — exactly the entries the legacy stream
-        would have fired as individual events before the kernel got to
-        do anything else — advancing ``sim.now`` to each entry's own
+        active run horizon — exactly the entries that, as individual
+        kernel events, would fire before the kernel got to do anything
+        else — advancing ``sim.now`` to each entry's own
         due time.  The network's own not-yet-fired wake-up events (and
         lazily-cancelled entries) at the kernel head are absorbed
         rather than treated as drain boundaries, so a delivery-bound
@@ -553,9 +504,8 @@ class Network:
                 # method call per message.
                 sim._now = t
                 delivered += 1
-                # Counted before the handler runs, like the legacy
-                # per-message path: handlers reading the public
-                # counter mid-run see identical values either way.
+                # Counted before the handler runs: a handler reading
+                # the public counter sees its own message included.
                 self.messages_delivered += 1
                 handler = handlers_get(head[2])
                 if handler is not None:
@@ -572,18 +522,6 @@ class Network:
                     self._flush_key = (head[0], head[1])
                     sim.call_at_key(head[0], head[1], self._flush_cb,
                                     head[0], head[1])
-
-    def _deliver(self, receiver: int, message: Any,
-                 sender: int | None = None) -> None:
-        """Legacy per-message kernel-event delivery (``batched=False``).
-
-        ``sender`` is carried in the event args only so in-flight
-        quarantine can identify the link; delivery ignores it.
-        """
-        handler = self._handlers.get(receiver)
-        self.messages_delivered += 1
-        if handler is not None:
-            handler(message, self._sim.now)
 
 
 def uniform_network(sim: Simulator, d: float, u: float,

@@ -76,6 +76,7 @@ from repro.core.protocol import (
     ProtocolRunResult,
     SyncProtocol,
     register_protocol,
+    reject_unknown_keys,
 )
 from repro.core.system import FtgcsSystem, SystemConfig
 from repro.errors import ConfigError
@@ -325,8 +326,14 @@ class MasterSlaveProtocol(SyncProtocol):
     supports_first_contact = False
     supports_vectorized = False  # event-only; chasing is not a round
 
+    _PAYLOAD = ("rounds", "root", "chase_threshold", "rate_model",
+                "flip_period_rounds", "cluster_offsets", "jump",
+                "record_series", "track_edges")
+
     def build_nodes(self, ctx: BuildContext) -> None:
         payload = dict(ctx.payload)
+        reject_unknown_keys(payload, self._PAYLOAD, "payload", self.name,
+                            "event")
         self.rounds = payload.pop("rounds", ctx.rounds)
         self.system = MasterSlaveSystem(ctx.graph, ctx.params,
                                         seed=ctx.seed, **payload)
@@ -381,9 +388,10 @@ class GcsSingleProtocol(SyncProtocol):
 
     ``payload``: ``params`` (a :class:`GcsParams`, required), ``until``
     (run horizon, required), ``liars`` (``{node: {neighbor: +-1}}``),
-    ``rate_spread``, ``sample_interval``.  ``series``/``detail`` are
-    the ``(t, local_skew, global_skew)`` sample list, with local skew
-    measured over currently *active* correct edges.
+    ``liar_bias``, ``liar_ramp``, ``rate_spread``, ``sample_interval``.
+    ``series``/``detail`` are the ``(t, local_skew, global_skew)``
+    sample list, with local skew measured over currently *active*
+    correct edges.
     """
 
     name = "gcs_single"
@@ -395,8 +403,13 @@ class GcsSingleProtocol(SyncProtocol):
     supports_vectorized_faults = True
     needs_params = False
 
+    _PAYLOAD = ("params", "until", "liars", "liar_bias", "liar_ramp",
+                "rate_spread", "sample_interval")
+
     def build_nodes(self, ctx: BuildContext) -> None:
         payload = dict(ctx.payload)
+        reject_unknown_keys(payload, self._PAYLOAD, "payload", self.name,
+                            "event")
         try:
             gcs_params = payload.pop("params")
             self.until = payload.pop("until")
@@ -495,8 +508,13 @@ class SrikanthTouegProtocol(SyncProtocol):
     supports_vectorized = True
     supports_vectorized_faults = True
 
+    _PAYLOAD = ("params", "rounds", "silent_faults", "rate_spread",
+                "sample_interval")
+
     def build_nodes(self, ctx: BuildContext) -> None:
         payload = dict(ctx.payload)
+        reject_unknown_keys(payload, self._PAYLOAD, "payload", self.name,
+                            "event")
         try:
             st_params = payload.pop("params")
         except KeyError:

@@ -13,11 +13,6 @@ class TestList:
         out = capsys.readouterr().out
         assert "t01" in out and "t16" in out
 
-    def test_legacy_list_flag(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "t01" in out and "t16" in out
-
     def test_listing_mentions_all_experiments(self):
         text = list_experiments()
         for i in range(1, 19):
@@ -57,10 +52,6 @@ class TestParser:
         err = capsys.readouterr().err
         assert "unknown experiment" in err
 
-    def test_legacy_unknown_experiment_rejected(self, capsys):
-        assert main(["t99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
-
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
 
@@ -96,12 +87,13 @@ class TestExecution:
         assert "T8" in out
         assert "finished in" in out
 
-    def test_legacy_positional_form(self, capsys):
-        assert main(["t08"]) == 0
-        assert "T8" in capsys.readouterr().out
+    def test_bare_id_and_list_flag_are_usage_errors(self, capsys):
+        # Only subcommands are accepted; ids go through `run`.
+        assert main(["t08"]) == 2
+        assert main(["--list"]) == 2
 
     def test_case_insensitive_names(self, capsys):
-        assert main(["T08"]) == 0
+        assert main(["run", "T08"]) == 0
         assert "T8" in capsys.readouterr().out
 
     def test_json_format_is_pure_stdout(self, capsys):
@@ -129,10 +121,6 @@ class TestExecution:
         out = capsys.readouterr().out
         header = out.splitlines()[0]
         assert header.startswith("graph,f,k,")
-
-    def test_legacy_id_with_help_shows_run_help(self, capsys):
-        assert main(["t07", "--help"]) == 0
-        assert "--processes" in capsys.readouterr().out
 
     def test_csv_multi_table_has_no_blank_records(self, capsys):
         import csv as csv_module

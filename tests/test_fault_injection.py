@@ -38,10 +38,9 @@ from repro.topology.cluster_graph import ClusterGraph
 from repro.topology.schedule import NodeChurnSchedule, build_schedule
 
 
-def make_net(d=1.0, u=0.2, batched=True):
+def make_net(d=1.0, u=0.2):
     sim = Simulator()
-    net = Network(sim, d=d, u=u, default_delay_model=FixedDelay(d),
-                  batched=batched)
+    net = Network(sim, d=d, u=u, default_delay_model=FixedDelay(d))
     for node in (0, 1, 2):
         net.add_node(node)
     net.add_link(0, 1)
@@ -115,9 +114,8 @@ class TestLossModels:
 
 
 class TestNetworkLoss:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_loss_counted_separately_from_link_down(self, batched):
-        sim, net = make_net(batched=batched)
+    def test_loss_counted_separately_from_link_down(self):
+        sim, net = make_net()
         net.set_loss_model(BernoulliLoss(0.5, random.Random(1)))
         received = []
         net.set_handler(1, lambda m, t: received.append(m))
@@ -127,26 +125,27 @@ class TestNetworkLoss:
         for index in range(10):
             net.send(0, 1, ValueMessage(sender=0, value=float(index)))
         sim.run(until=10.0)
-        assert net.dropped_loss > 10
+        assert net.dropped_loss == 47
         assert net.dropped_link_down == 10
         assert net.messages_dropped == (net.dropped_loss
                                         + net.dropped_link_down
                                         + net.dropped_in_flight)
         assert len(received) == 100 - net.dropped_loss
 
-    def test_loss_identical_on_both_delivery_paths(self):
-        def run(batched):
-            sim, net = make_net(batched=batched)
-            net.set_loss_model(BernoulliLoss(0.3, random.Random(5)))
-            received = []
-            net.set_handler(1, lambda m, t: received.append(m.value))
-            for index in range(50):
-                net.send(0, 1, ValueMessage(sender=0,
-                                            value=float(index)))
-            sim.run(until=5.0)
-            return received, net.dropped_loss
-
-        assert run(True) == run(False)
+    def test_loss_matches_pinned_stream(self):
+        # Recorded when a per-message delivery path still existed and
+        # both paths lost exactly these messages.
+        sim, net = make_net()
+        net.set_loss_model(BernoulliLoss(0.3, random.Random(5)))
+        received = []
+        net.set_handler(1, lambda m, t: received.append(m.value))
+        for index in range(50):
+            net.send(0, 1, ValueMessage(sender=0, value=float(index)))
+        sim.run(until=5.0)
+        assert net.dropped_loss == 19
+        assert received == [float(v) for v in (
+            0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 14, 15, 19, 20, 22, 24,
+            27, 30, 31, 33, 34, 35, 37, 38, 39, 40, 42, 46, 47, 49)]
 
     def test_set_loss_model_type_checked(self):
         _, net = make_net()
@@ -155,9 +154,8 @@ class TestNetworkLoss:
 
 
 class TestInFlightQuarantine:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_drop_in_flight_true_quarantines(self, batched):
-        sim, net = make_net(batched=batched)
+    def test_drop_in_flight_true_quarantines(self):
+        sim, net = make_net()
         received = []
         net.set_handler(1, lambda m, t: received.append(m.value))
         net.send(0, 1, ValueMessage(sender=0, value=1.0))
@@ -168,9 +166,8 @@ class TestInFlightQuarantine:
         assert net.dropped_in_flight == 1
         assert net.messages_dropped == 1
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_drop_in_flight_false_delivers(self, batched):
-        sim, net = make_net(batched=batched)
+    def test_drop_in_flight_false_delivers(self):
+        sim, net = make_net()
         received = []
         net.set_handler(1, lambda m, t: received.append(m.value))
         net.send(0, 1, ValueMessage(sender=0, value=1.0))

@@ -1,8 +1,8 @@
 """Tests for the harness: tables, runners, and experiment smoke runs.
 
-Experiment functions run here in further-scaled-down form where the
-quick mode is already small, asserting structural properties of the
-returned tables (the benchmarks exercise the full quick mode).
+Registered experiments run here in quick mode, asserting structural
+properties of the returned tables (the benchmarks exercise the same
+tables end to end).
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.analysis.bounds import (
     system_failure_probability,
 )
 from repro.errors import ConfigError, ParameterError
+from repro.harness.registry import REGISTRY, run_experiment
 from repro.harness.runner import (
     default_params,
     gradient_offsets,
@@ -155,16 +156,12 @@ class TestExperimentsSmoke:
     """Cheap structural checks; heavy lifting lives in benchmarks/."""
 
     def test_t05_rows_and_ordering(self):
-        from repro.harness.experiments import t05_failure_probability
-
-        table = t05_failure_probability(quick=True)
+        table = run_experiment("t05", quick=True)
         assert len(table.rows) == 9
         assert all(table.column("ordered"))
 
     def test_t08_overheads_factors(self):
-        from repro.harness.experiments import t08_overheads
-
-        table = t08_overheads(quick=True)
+        table = run_experiment("t08", quick=True)
         # Node factor is exactly k = 3f+1.
         for row in table.rows:
             f, k, factor = row[1], row[2], row[4]
@@ -172,20 +169,12 @@ class TestExperimentsSmoke:
             assert factor == pytest.approx(k)
 
     def test_t10_no_violations(self):
-        from repro.harness.experiments import t10_trigger_exclusion
-
-        table = t10_trigger_exclusion(quick=True)
+        table = run_experiment("t10", quick=True)
         assert all(v == 0 for v in table.column("violations"))
 
     def test_t12_convergence_within_envelope(self):
-        from repro.harness.experiments import t12_convergence
-
-        table = t12_convergence(quick=True)
+        table = run_experiment("t12", quick=True)
         assert all(table.column("within"))
 
-    def test_run_all_registry(self):
-        from repro.harness.experiments import ALL_EXPERIMENTS
-
-        assert len(ALL_EXPERIMENTS) == 18
-        assert sorted(ALL_EXPERIMENTS) == [f"t{i:02d}"
-                                           for i in range(1, 19)]
+    def test_registry_lists_all_experiments(self):
+        assert REGISTRY.ids() == [f"t{i:02d}" for i in range(1, 19)]

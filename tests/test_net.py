@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import NetworkError, SimulationError
+from repro.harness.serialize import content_hash
 from repro.net import (
     BiasedDelay,
     ExtremalDelay,
@@ -198,15 +199,16 @@ class TestMessaging:
 
 
 class TestBatchedDelivery:
-    """The batched fast path must be observationally identical to the
-    legacy one-kernel-event-per-message stream."""
+    """Deliveries drain from the network's heap in exactly the order
+    one kernel event per message would give.  The expected values were
+    recorded when a per-message delivery path still existed and both
+    paths agreed on them."""
 
-    def build_flood(self, batched, n=8, seed=3):
+    def build_flood(self, n=8, seed=3):
         sim = Simulator()
         rng = random.Random(seed)
         net = Network(sim, d=1.0, u=0.5,
-                      default_delay_model=UniformDelay(1.0, 0.5, rng),
-                      batched=batched)
+                      default_delay_model=UniformDelay(1.0, 0.5, rng))
         log = []
         for i in range(n):
             def handler(msg, t, i=i):
@@ -219,43 +221,43 @@ class TestBatchedDelivery:
         return sim, net, log
 
     def test_flood_matches_legacy_stream(self):
-        # Identical seeds + identical alarm interleavings: the full
-        # (receiver, sender, time) delivery log must match exactly.
-        logs = {}
-        for batched in (True, False):
-            sim, net, log = self.build_flood(batched)
-            for t in (0.5, 1.25, 2.0, 3.75):
-                sim.call_at(t, log.append, ("alarm", t))
-            for i in range(8):
-                net.broadcast(i, (i, 4))
-            sim.run_until_idle()
-            logs[batched] = log
-        assert logs[True] == logs[False]
-        assert logs[True]  # non-trivial
+        # Seeded delays + interleaved alarms: the full (receiver,
+        # sender, time) delivery log of the one-event-per-message
+        # stream, pinned by digest.
+        sim, net, log = self.build_flood()
+        for t in (0.5, 1.25, 2.0, 3.75):
+            sim.call_at(t, log.append, ("alarm", t))
+        for i in range(8):
+            net.broadcast(i, (i, 4))
+        sim.run_until_idle()
+        assert len(log) == 350
+        assert log[:3] == [("alarm", 0.5),
+                           ("recv", 6, 5, 0.5021775822447686),
+                           ("recv", 3, 4, 0.5812654589517701)]
+        assert content_hash(log) == \
+            "37edb89fedbfb911a5b5b3c4372088794216c741"
+        assert net.messages_delivered == 346
+        assert sim.events_processed == 8
 
     def test_same_time_ties_keep_send_order(self):
-        # FixedDelay makes every delivery time coincide exactly; the
-        # batched path must deliver in send (seq) order, interleaved
-        # correctly with kernel events at the same timestamp.
-        logs = {}
-        for batched in (True, False):
-            sim, net = make_net(d=1.0, u=0.0, model=FixedDelay(1.0))
-            net.batched = batched
-            log = []
-            for i in range(4):
-                net.add_node(i, lambda m, t, i=i: log.append((i, m, t)))
-            for i in range(3):
-                net.add_link(i, i + 1)
-            net.send(0, 1, "a")
-            sim.call_at(1.0, log.append, "tied alarm")
-            net.send(1, 2, "b")
-            net.send(2, 3, "c")
-            sim.run(until=2.0)
-            logs[batched] = log
-        assert logs[True] == logs[False]
+        # FixedDelay makes every delivery time coincide exactly;
+        # deliveries come in send (seq) order, interleaved correctly
+        # with kernel events at the same timestamp.
+        sim, net = make_net(d=1.0, u=0.0, model=FixedDelay(1.0))
+        log = []
+        for i in range(4):
+            net.add_node(i, lambda m, t, i=i: log.append((i, m, t)))
+        for i in range(3):
+            net.add_link(i, i + 1)
+        net.send(0, 1, "a")
+        sim.call_at(1.0, log.append, "tied alarm")
+        net.send(1, 2, "b")
+        net.send(2, 3, "c")
+        sim.run(until=2.0)
         # The alarm was scheduled between the sends and lands between
         # their deliveries at the shared timestamp.
-        assert logs[True][1] == "tied alarm"
+        assert log == [(1, "a", 1.0), "tied alarm", (2, "b", 1.0),
+                       (3, "c", 1.0)]
 
     def test_run_horizon_defers_pending(self):
         sim, net = make_net(d=1.0, u=0.0)
@@ -287,18 +289,8 @@ class TestBatchedDelivery:
         sim.run(until=4.0)
         assert received == ["in flight"]
 
-    def test_legacy_mode_never_queues(self):
-        sim, net = make_net(d=1.0, u=0.0)
-        net.batched = False
-        net.add_node(0)
-        net.add_node(1, lambda m, t: None)
-        net.add_link(0, 1)
-        net.send(0, 1, "x")
-        assert net.pending_deliveries == 0
-        assert sim.pending_events == 1
-
     def test_fewer_kernel_events_per_message(self):
-        sim, net, _log = self.build_flood(True)
+        sim, net, _log = self.build_flood()
         for i in range(8):
             net.broadcast(i, (i, 4))
         sim.run_until_idle()
@@ -340,42 +332,34 @@ class TestBatchedDelivery:
     def test_step_delivers_one_message_per_call(self):
         # step()'s single-event contract survives batching: each call
         # hands over exactly one pending delivery.
-        logs = {}
-        for batched in (True, False):
-            sim, net = make_net(d=1.0, u=0.5, model=None)
-            net.batched = batched
-            log = []
-            for i in range(4):
-                net.add_node(i, lambda m, t, i=i: log.append((i, m, t)))
-            for i in range(3):
-                net.add_link(i, i + 1)
-            net.set_link_delay_model(0, 1, FixedDelay(0.6))
-            net.set_link_delay_model(1, 2, FixedDelay(0.8))
-            net.set_link_delay_model(2, 3, FixedDelay(1.0))
-            net.send(0, 1, "a")
-            net.send(1, 2, "b")
-            net.send(2, 3, "c")
-            assert sim.step() is True
-            logs[batched] = (list(log), sim.now)
-            sim.run_until_idle()
-            assert len(log) == 3
-        assert logs[True] == logs[False]
-        assert logs[True][1] == pytest.approx(0.6)  # one delivery only
+        sim, net = make_net(d=1.0, u=0.5, model=None)
+        log = []
+        for i in range(4):
+            net.add_node(i, lambda m, t, i=i: log.append((i, m, t)))
+        for i in range(3):
+            net.add_link(i, i + 1)
+        net.set_link_delay_model(0, 1, FixedDelay(0.6))
+        net.set_link_delay_model(1, 2, FixedDelay(0.8))
+        net.set_link_delay_model(2, 3, FixedDelay(1.0))
+        net.send(0, 1, "a")
+        net.send(1, 2, "b")
+        net.send(2, 3, "c")
+        assert sim.step() is True
+        assert log == [(1, "a", 0.6)]  # one delivery only
+        assert sim.now == 0.6
+        sim.run_until_idle()
+        assert log == [(1, "a", 0.6), (2, "b", 0.8), (3, "c", 1.0)]
 
     def test_counter_visible_to_handlers_mid_batch(self):
-        # Handlers reading messages_delivered mid-run must see the
-        # same values under both delivery paths.
-        seen = {}
-        for batched in (True, False):
-            sim, net = make_net(d=1.0, u=0.0)
-            net.batched = batched
-            observed = []
-            net.add_node(0)
-            net.add_node(1, lambda m, t: observed.append(
-                net.messages_delivered))
-            net.add_link(0, 1)
-            net.send(0, 1, "x")
-            net.send(0, 1, "y")
-            sim.run_until_idle()
-            seen[batched] = observed
-        assert seen[True] == seen[False] == [1, 2]
+        # A handler reading messages_delivered mid-run sees its own
+        # message counted.
+        sim, net = make_net(d=1.0, u=0.0)
+        observed = []
+        net.add_node(0)
+        net.add_node(1, lambda m, t: observed.append(
+            net.messages_delivered))
+        net.add_link(0, 1)
+        net.send(0, 1, "x")
+        net.send(0, 1, "y")
+        sim.run_until_idle()
+        assert observed == [1, 2]

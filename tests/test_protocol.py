@@ -196,6 +196,31 @@ class TestBaselineProtocols:
         with pytest.raises(ConfigError):
             SystemBuilder("srikanth_toueg").build().run()
 
+    @pytest.mark.parametrize("name", ["master_slave", "gcs_single",
+                                      "srikanth_toueg"])
+    def test_unknown_payload_key_rejected(self, name):
+        # The event adapters name the stray key and the supported
+        # ones, like the vectorized engine, instead of a raw TypeError
+        # from the system constructor.
+        builder = SystemBuilder(name).seed(1)
+        if name == "master_slave":
+            builder.topology(ClusterGraph.line(3)).params(
+                default_params(f=0)).rounds(2).payload(jump=True)
+        elif name == "gcs_single":
+            builder.topology(ClusterGraph.ring(4)).payload(
+                params=GcsParams.default(), until=50.0)
+        else:
+            builder.payload(params=StParams(n=4, f=1, rho=1e-4, d=1.0,
+                                            u=0.1, period=10.0),
+                            rounds=2)
+        builder.payload(typo_knob=1)
+        with pytest.raises(ConfigError) as err:
+            builder.build().run()
+        message = str(err.value)
+        assert "event engine" in message
+        assert "'typo_knob'" in message
+        assert "supported:" in message
+
 
 class TestCustomProtocol:
     def test_register_build_run(self):

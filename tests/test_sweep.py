@@ -84,10 +84,14 @@ class TestRunCell:
 
 class TestCellKinds:
     def test_builtin_kinds_registered(self):
-        for kind in ("protocol", "ftgcs", "master_slave",
-                     "gcs_single", "srikanth_toueg", "failure_mc",
-                     "trigger_fuzz", "augment_counts"):
+        for kind in ("protocol", "failure_mc", "trigger_fuzz",
+                     "augment_counts"):
             assert kind in CELL_KINDS
+        # Protocol names are not cell kinds; cells name them in
+        # ``spec.protocol``.
+        for name in ("ftgcs", "master_slave", "gcs_single",
+                     "srikanth_toueg"):
+            assert name not in CELL_KINDS
 
     def test_unknown_kind_rejected(self):
         spec = ScenarioSpec(kind="teleport", seed=0)
@@ -96,7 +100,7 @@ class TestCellKinds:
 
     def test_duplicate_kind_registration_rejected(self):
         with pytest.raises(ConfigError):
-            register_cell_kind("ftgcs", lambda spec: None)
+            register_cell_kind("protocol", lambda spec: None)
 
     def test_failure_mc_matches_shared_stream(self):
         # Two cells fast-forwarding one serial stream reproduce a
@@ -171,18 +175,22 @@ class TestProtocolCells:
         with pytest.raises(ConfigError):
             run_cell(spec)
 
-    def test_legacy_kinds_alias_protocol(self):
-        # A legacy-kind spec and the explicit protocol spec are the
-        # same cell, bit for bit.
+    def test_protocol_kind_defaults_to_ftgcs(self):
+        # An unnamed protocol cell and the explicit ftgcs cell are the
+        # same cell, bit for bit; protocol names are not cell kinds.
         params = default_params()
-        legacy = run_cell(ScenarioSpec(
-            kind="ftgcs", graph="line", graph_args=(2,), params=params,
-            rounds=3, seed=5))
-        modern = run_cell(ScenarioSpec(
+        default = run_cell(ScenarioSpec(
+            kind="protocol", graph="line", graph_args=(2,),
+            params=params, rounds=3, seed=5))
+        explicit = run_cell(ScenarioSpec(
             kind="protocol", protocol="ftgcs", graph="line",
             graph_args=(2,), params=params, rounds=3, seed=5))
-        assert legacy.result.series == modern.result.series
-        assert legacy.result.protocol == "ftgcs"
+        assert default.result.series == explicit.result.series
+        assert default.result.protocol == "ftgcs"
+        with pytest.raises(ConfigError):
+            run_cell(ScenarioSpec(kind="ftgcs", graph="line",
+                                  graph_args=(2,), params=params,
+                                  rounds=3, seed=5))
 
     def test_collectors_rejected_for_non_ftgcs_protocols(self):
         from repro.baselines.srikanth_toueg import StParams
