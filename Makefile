@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-quick bench-quick-ci bench bench-record
+.PHONY: test verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-quick bench-quick-ci bench-pins bench bench-record
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -11,8 +11,8 @@ test:
 # form (the throughput comparison against BENCH_kernel.json is
 # hardware-sensitive, so only the explicit `make bench-quick` gate
 # hard-fails on it) + the cross-engine equivalence matrix + the
-# adversary-layer smoke.
-verify: lint test bench-quick-ci smoke-vec smoke-adversary
+# adversary-layer smoke + the benchmark's work-count and digest pins.
+verify: lint test bench-quick-ci smoke-vec smoke-adversary bench-pins
 
 # Determinism & contract static analysis (src/repro/lint): AST rules
 # (raw-rng, wall-clock, unordered-iter, stream-label) plus the
@@ -77,6 +77,14 @@ bench-quick:
 
 bench-quick-ci:
 	$(PYTHON) -m repro bench-quick
+
+# Benchmark pins (CI runs this): every perfbench workload at its
+# registered seeds must reproduce the cell digests, table digests and
+# work counts pinned in perfbench/pins.json, serial and pooled.  About
+# 80 s on 2 CPUs.  Re-pinning is a deliberate, separate act
+# (`perfbench/selftest.py --record`), never part of this target.
+bench-pins:
+	$(PYTHON) perfbench/selftest.py
 
 # Full pytest-benchmark suite (tables T1-T18 + kernel microbenches).
 bench:

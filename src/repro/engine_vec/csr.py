@@ -42,16 +42,10 @@ class CSRAdjacency:
 
     def __init__(self, graph: ClusterGraph) -> None:
         n = graph.num_clusters
-        edges = graph.edges
-        m = len(edges)
+        pairs = graph.edge_array
         self.num_nodes = n
-        self.num_edges = m
-        if m:
-            pairs = np.asarray(edges, dtype=np.int64)
-            ea, eb = pairs[:, 0], pairs[:, 1]
-        else:
-            ea = np.zeros(0, dtype=np.int64)
-            eb = np.zeros(0, dtype=np.int64)
+        self.num_edges = len(pairs)
+        ea, eb = pairs[:, 0], pairs[:, 1]
         self.edge_a = ea
         self.edge_b = eb
         src = np.concatenate([ea, eb])

@@ -18,20 +18,35 @@ knows this).
 from __future__ import annotations
 
 import random
+from functools import cached_property
+
+import numpy as np
 
 from repro.errors import TopologyError
 from repro.topology import graphs as g
 
 
 class ClusterGraph:
-    """The abstract network ``G = (C, E)`` of supernodes."""
+    """The abstract network ``G = (C, E)`` of supernodes.
 
-    def __init__(self, num_clusters: int, edges: list[tuple[int, int]],
+    ``edges`` (pairs or an ``(m, 2)`` integer array) is validated by
+    :func:`~repro.topology.graphs.normalize_edges` and stored once, as
+    the read-only int64 array :attr:`edge_array` of canonical
+    ``(min, max)`` rows.  The Python views — the :attr:`edges` tuple
+    list and the adjacency lists behind :meth:`neighbors`,
+    :meth:`diameter` and friends — are built on first use, so a
+    million-vertex graph that only feeds the vectorized engine's CSR
+    never materializes them.
+    """
+
+    def __init__(self, num_clusters: int,
+                 edges: list[tuple[int, int]] | np.ndarray,
                  name: str = "") -> None:
         if num_clusters < 1:
             raise TopologyError(f"need at least one cluster: {num_clusters!r}")
-        self._edges = g.normalize_edges(num_clusters, edges)
-        self._adjacency = g.adjacency_from_edges(num_clusters, self._edges)
+        self._num_clusters = num_clusters
+        self._edge_array = g.normalize_edges(num_clusters, edges)
+        self._edge_array.flags.writeable = False
         self.name = name or f"cluster-graph({num_clusters})"
 
     # -- named constructors -------------------------------------------
@@ -91,15 +106,31 @@ class ClusterGraph:
 
     @property
     def num_clusters(self) -> int:
-        return len(self._adjacency)
+        return self._num_clusters
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """Canonical ``(min, max)`` edges as a read-only ``(m, 2)``
+        int64 array, in construction order."""
+        return self._edge_array
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        return list(self._edges)
+        """Canonical edges as a fresh list of Python-int tuples."""
+        return list(self._edge_tuples)
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._edge_array)
+
+    @cached_property
+    def _edge_tuples(self) -> list[tuple[int, int]]:
+        lo, hi = self._edge_array.T.tolist()
+        return list(zip(lo, hi))
+
+    @cached_property
+    def _adjacency(self) -> list[list[int]]:
+        return g.adjacency_from_edges(self._num_clusters, self._edge_tuples)
 
     def neighbors(self, cluster: int) -> tuple[int, ...]:
         try:

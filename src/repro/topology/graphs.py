@@ -1,8 +1,12 @@
 """Generators and utilities for the cluster-level graph ``G = (C, E)``.
 
-These are plain adjacency-list graphs over cluster ids ``0..n-1``.  The
-paper's construction (Section 2) then replaces each cluster by a
-``k``-clique — see :mod:`repro.topology.cluster_graph`.
+Graphs are over cluster ids ``0..n-1``.  Edge generators return
+``(a, b)`` pairs — an ``(m, 2)`` int64 array for the shapes that scale
+to 1e6 vertices, a list for the rest — which :func:`normalize_edges`
+validates into the canonical array a ``ClusterGraph`` stores.  The
+BFS utilities work on adjacency lists.  The paper's construction
+(Section 2) then replaces each cluster by a ``k``-clique — see
+:mod:`repro.topology.cluster_graph`.
 """
 
 from __future__ import annotations
@@ -10,31 +14,54 @@ from __future__ import annotations
 import random
 from collections import deque
 
+import numpy as np
+
 from repro.errors import TopologyError
 
 
 def normalize_edges(num_vertices: int,
-                    edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+                    edges: list[tuple[int, int]] | np.ndarray) -> np.ndarray:
     """Validate and canonicalize an undirected edge list.
 
-    Each edge is returned as ``(min, max)``; duplicates and self-loops
-    raise :class:`TopologyError`.
+    ``edges`` is any sequence of ``(a, b)`` pairs or an ``(m, 2)``
+    integer array.  The result is a fresh ``(m, 2)`` int64 array of
+    ``(min, max)`` rows in input order.  Out-of-range endpoints,
+    self-loops and duplicates (in either orientation) raise
+    :class:`TopologyError`; when several edges are bad, the error
+    names the first one, checked in that order, exactly as a
+    one-edge-at-a-time scan would.
     """
-    seen: set[tuple[int, int]] = set()
-    result: list[tuple[int, int]] = []
-    for a, b in edges:
-        if not (0 <= a < num_vertices and 0 <= b < num_vertices):
+    pairs = np.asarray(edges)
+    if pairs.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise TopologyError("edges must be (a, b) pairs of integer ids")
+    pairs = pairs.astype(np.int64)
+    a, b = pairs[:, 0], pairs[:, 1]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    out_of_range = (lo < 0) | (hi >= num_vertices)
+    # Every occurrence of a (min, max) key after its first (np.unique's
+    # return_index) is a duplicate.  Keys are injective (and fit int64,
+    # for n below 3e9) only on in-range edges, but every edge before
+    # the first bad one is in range, so a spurious collision can never
+    # be the first error.
+    _, first = np.unique(lo * num_vertices + hi, return_index=True)
+    bad = out_of_range | (a == b)
+    if first.size < len(pairs):
+        repeated = np.ones(len(pairs), dtype=bool)
+        repeated[first] = False
+        bad |= repeated
+    if bad.any():
+        i = int(np.argmax(bad))
+        ai, bi = int(a[i]), int(b[i])
+        if out_of_range[i]:
             raise TopologyError(
-                f"edge ({a!r}, {b!r}) references a vertex outside "
+                f"edge ({ai!r}, {bi!r}) references a vertex outside "
                 f"0..{num_vertices - 1}")
-        if a == b:
-            raise TopologyError(f"self-loop at vertex {a!r}")
-        edge = (a, b) if a < b else (b, a)
-        if edge in seen:
-            raise TopologyError(f"duplicate edge {edge!r}")
-        seen.add(edge)
-        result.append(edge)
-    return result
+        if ai == bi:
+            raise TopologyError(f"self-loop at vertex {ai!r}")
+        raise TopologyError(f"duplicate edge {(int(lo[i]), int(hi[i]))!r}")
+    return np.stack([lo, hi], axis=1)
 
 
 def adjacency_from_edges(num_vertices: int,
@@ -90,18 +117,26 @@ def is_connected(adjacency: list[list[int]]) -> bool:
 # Standard topologies (edge lists over 0..n-1)
 # ----------------------------------------------------------------------
 
-def line_edges(n: int) -> list[tuple[int, int]]:
-    """Path on ``n`` vertices; diameter ``n - 1``."""
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack([a, b], axis=-1).reshape(-1, 2)
+
+
+def line_edges(n: int) -> np.ndarray:
+    """Path on ``n`` vertices; diameter ``n - 1``.  Edge ``i`` is
+    ``(i, i + 1)``."""
     if n < 1:
         raise TopologyError(f"need n >= 1: {n!r}")
-    return [(i, i + 1) for i in range(n - 1)]
+    lo = np.arange(n - 1, dtype=np.int64)
+    return _pairs(lo, lo + 1)
 
 
-def ring_edges(n: int) -> list[tuple[int, int]]:
-    """Cycle on ``n >= 3`` vertices; diameter ``n // 2``."""
+def ring_edges(n: int) -> np.ndarray:
+    """Cycle on ``n >= 3`` vertices; diameter ``n // 2``.  Edge ``i``
+    is ``(i, (i + 1) % n)``."""
     if n < 3:
         raise TopologyError(f"need n >= 3 for a ring: {n!r}")
-    return [(i, (i + 1) % n) for i in range(n)]
+    lo = np.arange(n, dtype=np.int64)
+    return _pairs(lo, (lo + 1) % n)
 
 
 def complete_edges(n: int) -> list[tuple[int, int]]:
@@ -111,42 +146,42 @@ def complete_edges(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def star_edges(n: int) -> list[tuple[int, int]]:
+def star_edges(n: int) -> np.ndarray:
     """Star with center 0 and ``n - 1`` leaves; diameter 2."""
     if n < 2:
         raise TopologyError(f"need n >= 2 for a star: {n!r}")
-    return [(0, i) for i in range(1, n)]
+    leaves = np.arange(1, n, dtype=np.int64)
+    return _pairs(np.zeros_like(leaves), leaves)
 
 
-def grid_edges(width: int, height: int) -> list[tuple[int, int]]:
+def _mesh_edges(width: int, height: int, wrap: bool) -> np.ndarray:
+    """Per vertex ``v = y*width + x`` in id order: its right edge,
+    then its down edge — wrapping around on a torus, dropped at the
+    border on a grid."""
+    v = np.arange(width * height, dtype=np.int64)
+    y, x = np.divmod(v, width)
+    right = y * width + (x + 1) % width
+    down = ((y + 1) % height) * width + x
+    pairs = _pairs(np.stack([v, v], axis=1), np.stack([right, down], axis=1))
+    if wrap:
+        return pairs
+    keep = np.stack([x + 1 < width, y + 1 < height], axis=1).reshape(-1)
+    return pairs[keep]
+
+
+def grid_edges(width: int, height: int) -> np.ndarray:
     """``width x height`` mesh; vertex ``(x, y)`` has id ``y*width + x``."""
     if width < 1 or height < 1:
         raise TopologyError("grid dimensions must be positive")
-    edges: list[tuple[int, int]] = []
-    for y in range(height):
-        for x in range(width):
-            v = y * width + x
-            if x + 1 < width:
-                edges.append((v, v + 1))
-            if y + 1 < height:
-                edges.append((v, v + width))
-    return edges
+    return _mesh_edges(width, height, wrap=False)
 
 
-def torus_edges(width: int, height: int) -> list[tuple[int, int]]:
+def torus_edges(width: int, height: int) -> np.ndarray:
     """``width x height`` torus (wrap-around mesh)."""
     if width < 3 or height < 3:
         raise TopologyError("torus dimensions must be >= 3 to avoid "
                             "duplicate wrap edges")
-    edges: list[tuple[int, int]] = []
-    for y in range(height):
-        for x in range(width):
-            v = y * width + x
-            right = y * width + (x + 1) % width
-            down = ((y + 1) % height) * width + x
-            edges.append((min(v, right), max(v, right)))
-            edges.append((min(v, down), max(v, down)))
-    return normalize_edges(width * height, edges)
+    return _mesh_edges(width, height, wrap=True)
 
 
 def balanced_tree_edges(branching: int, height: int) -> list[tuple[int, int]]:
@@ -167,7 +202,7 @@ def balanced_tree_edges(branching: int, height: int) -> list[tuple[int, int]]:
     return edges
 
 
-def caterpillar_edges(length: int, width: int) -> list[tuple[int, int]]:
+def caterpillar_edges(length: int, width: int) -> np.ndarray:
     """Caterpillar: a spine path of ``length`` hubs, each carrying
     ``width - 1`` leaves; ``length * width`` vertices total.
 
@@ -177,17 +212,17 @@ def caterpillar_edges(length: int, width: int) -> list[tuple[int, int]]:
     and ``length - 1`` for ``width == 1`` (a plain path) — the shape
     that decouples vertex count from diameter, so scale sweeps can fix
     ``D`` while pushing ``n`` to 1e5-1e6.
+
+    Edges come hub by hub: the spine edge ``(hub, hub + width)``
+    (absent after the last hub), then ``(hub, leaf)`` for each leaf.
     """
     if length < 1 or width < 1:
         raise TopologyError("caterpillar dimensions must be positive")
-    edges: list[tuple[int, int]] = []
-    for i in range(length):
-        hub = i * width
-        if i + 1 < length:
-            edges.append((hub, hub + width))
-        for leaf in range(hub + 1, hub + width):
-            edges.append((hub, leaf))
-    return edges
+    offsets = np.arange(width, dtype=np.int64)
+    offsets[0] = width  # slot 0 of each block is the spine edge
+    hubs = np.arange(length, dtype=np.int64)[:, None] * width
+    pairs = _pairs(np.broadcast_to(hubs, (length, width)), hubs + offsets)
+    return np.delete(pairs, (length - 1) * width, axis=0)
 
 
 def hypercube_edges(dim: int) -> list[tuple[int, int]]:

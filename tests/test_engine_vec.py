@@ -7,6 +7,7 @@ cross-engine skew agreement itself lives in
 ``tests/test_equivalence.py``.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -76,6 +77,44 @@ class TestDegenerateTopologies:
         gamma = fast_trigger_mask(up - values, values - down,
                                   kappa=0.3, slack=0.1)
         assert not gamma[0]  # masked fills never fire a trigger
+
+
+#: BLAKE2b-128 over (shape, bytes) of indptr, indices, edge_a, edge_b,
+#: recorded when ClusterGraph still stored Python tuple lists: building
+#: the CSR from the edge array must not move a single slot.
+CSR_PINS = {
+    "caterpillar(17,61)": "ad771a1c7054c432e99e65c1645220f5",
+    "grid(7,5)": "0fb31c4dbfdd08ccecc796a870a109d7",
+    "ring(9)": "d8e081ce261db054ca83514aee137067",
+    "line(1)": "1792b9041b4cb2c9860ef58b9e1fcfdd",
+    "isolated": "52c436b3641b0985a1eeac0d58b3c2c1",
+}
+
+CSR_GRAPHS = {
+    "caterpillar(17,61)": lambda: ClusterGraph.caterpillar(17, 61),
+    "grid(7,5)": lambda: ClusterGraph.grid(7, 5),
+    "ring(9)": lambda: ClusterGraph.ring(9),
+    "line(1)": lambda: ClusterGraph.line(1),
+    "isolated": lambda: ClusterGraph(5, [(0, 3)]),
+}
+
+
+def csr_digest(csr):
+    h = hashlib.blake2b(digest_size=16)
+    for arr in (csr.indptr, csr.indices, csr.edge_a, csr.edge_b):
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
+        h.update(str(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestCSRPin:
+    @pytest.mark.parametrize("name", sorted(CSR_PINS))
+    def test_csr_arrays_pinned(self, name):
+        csr = CSRAdjacency(CSR_GRAPHS[name]())
+        for arr in (csr.indptr, csr.indices, csr.edge_a, csr.edge_b):
+            assert arr.dtype == np.int64
+        assert csr_digest(csr) == CSR_PINS[name]
 
 
 class TestFaultyVectors:
