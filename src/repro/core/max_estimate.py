@@ -21,6 +21,17 @@ therefore configurable (default ``delta_trigger``): a coarser unit
 only adds ``O(unit)`` to the estimate lag, leaving the ``O(delta * D)``
 global bound intact while keeping message counts sane.  Setting
 ``unit = d - U`` reproduces the letter of the paper.
+
+Decode cost
+-----------
+Every received pulse raises one sender's level by exactly 1, so the
+"``f + 1`` members attest level ``k``" decode is kept incrementally:
+per cluster, a :class:`_ClusterTally` holds the confirmed level and a
+count of members at each level *above* it (at most ``f``
+entries).  Receiving a pulse is O(1) for fixed ``f`` and
+:meth:`MaxEstimate._confirmed_level` is a lookup.  Only
+:meth:`MaxEstimate.reset_sender` pays more: it rebuilds the sender's
+cluster tally in one pass over the known senders.
 """
 
 from __future__ import annotations
@@ -32,6 +43,52 @@ from repro.clocks.hardware import HardwareClock
 from repro.clocks.logical import ScaledClock
 from repro.errors import ConfigError
 from repro.sim.kernel import Simulator
+
+
+class _ClusterTally:
+    """Incremental "``f + 1`` members attest level k" decode for one
+    cluster.
+
+    ``confirmed`` is the highest level ``k`` that at least ``f + 1``
+    members have reached (0 if none); ``counts`` maps each level above
+    it to the number of members there and ``above`` is their sum.
+    ``above <= f`` holds between calls (one more member above
+    ``confirmed`` would confirm the next level), so ``counts`` never
+    holds more than ``f`` levels.
+    """
+
+    __slots__ = ("f", "confirmed", "above", "counts")
+
+    def __init__(self, f: int) -> None:
+        self.f = f
+        self.confirmed = 0
+        self.above = 0
+        self.counts: dict[int, int] = {}
+
+    def raise_member(self, old: int, new: int) -> None:
+        """One member's level went from ``old`` to ``new > old``
+        (``old = 0``: the member was not counted yet)."""
+        confirmed = self.confirmed
+        if new <= confirmed:
+            return
+        counts = self.counts
+        counts[new] = counts.get(new, 0) + 1
+        if old > confirmed:
+            # Already counted above ``confirmed``: only its level moves.
+            left = counts[old] - 1
+            if left:
+                counts[old] = left
+            else:
+                del counts[old]
+            return
+        above = self.above + 1
+        # Every level up to the lowest one in ``counts`` has ``above``
+        # members at or over it; confirm levels while that is > f.
+        while above > self.f:
+            confirmed = min(counts)
+            above -= counts.pop(confirmed)
+        self.confirmed = confirmed
+        self.above = above
 
 
 class MaxEstimate:
@@ -88,6 +145,13 @@ class MaxEstimate:
         self._announced_level = max(0, self._level_of(initial_value))
         #: per-sender highest pulse count == highest announced level.
         self._sender_levels: dict[int, int] = {}
+        #: per-cluster incremental decode of ``_sender_levels``.
+        self._tallies = {cluster: _ClusterTally(f)
+                         for cluster in set(self._cluster_of.values())}
+        #: Highest confirmed level already applied to the clock.  ``M``
+        #: never decreases, so a confirmed level at or below it cannot
+        #: move the estimate and needs no ``jump_to``.
+        self._applied_level = 0
         #: per-sender quarantine deadline after a decode reset: pulses
         #: *arriving* before it may have been in flight from before
         #: the link outage and are dropped (see :meth:`reset_sender`).
@@ -98,6 +162,8 @@ class MaxEstimate:
         self.sender_resets = 0
         self.quarantined_pulses = 0
         self._running = False
+        #: The armed next-level alarm, cancelled by :meth:`stop`.
+        self._level_alarm = None
 
     # ------------------------------------------------------------------
 
@@ -152,10 +218,23 @@ class MaxEstimate:
         ``U`` so its copies arrive at or after it.  Dropping can only
         under-count, the sound direction.
         """
-        self._sender_levels.pop(sender, None)
+        if self._sender_levels.pop(sender, None) is not None:
+            cluster = self._cluster_of.get(sender)
+            if cluster is not None:
+                self._rebuild_tally(cluster)
         if quarantine_until is not None:
             self._quarantine[sender] = quarantine_until
         self.sender_resets += 1
+
+    def _rebuild_tally(self, cluster: int) -> None:
+        """Recount ``cluster``'s tally from its members' levels (the
+        reset path; pulses update the tally incrementally)."""
+        tally = _ClusterTally(self._f)
+        cluster_of = self._cluster_of
+        for sender, level in self._sender_levels.items():
+            if cluster_of.get(sender) == cluster:
+                tally.raise_member(0, level)
+        self._tallies[cluster] = tally
 
     def start(self) -> None:
         if self._running:
@@ -165,11 +244,16 @@ class MaxEstimate:
 
     def stop(self) -> None:
         self._running = False
+        # A stale alarm would survive into the next start() and run a
+        # second level chain next to the fresh one.
+        if self._level_alarm is not None:
+            self._clock.cancel_alarm(self._level_alarm)
+            self._level_alarm = None
 
     def _arm_next_level(self) -> None:
         next_level = self._announced_level + 1
-        self._clock.at_value(next_level * self._unit,
-                             self._on_level_reached, next_level)
+        self._level_alarm = self._clock.at_value(
+            next_level * self._unit, self._on_level_reached, next_level)
 
     def _on_level_reached(self, level: int) -> None:
         if not self._running:
@@ -202,9 +286,15 @@ class MaxEstimate:
                 del self._quarantine[sender]
         level = self._sender_levels.get(sender, 0) + 1
         self._sender_levels[sender] = level
-        confirmed = self._confirmed_level(self._cluster_of.get(sender))
-        if confirmed <= 0:
+        cluster = self._cluster_of.get(sender)
+        if cluster is not None:
+            tally = self._tallies[cluster]
+            if level > tally.confirmed:
+                tally.raise_member(level - 1, level)
+        confirmed = self._confirmed_level(cluster)
+        if confirmed <= self._applied_level:
             return
+        self._applied_level = confirmed
         # A correct witness had M >= confirmed * unit at send time, and
         # the message spent at least d - U in flight (the paper's "+1"
         # with unit = d - U is exactly this transit bonus).
@@ -217,10 +307,4 @@ class MaxEstimate:
         """Highest level attested by ``f + 1`` members of ``cluster``."""
         if cluster is None:
             return 0
-        levels = sorted(
-            (lvl for sender, lvl in self._sender_levels.items()
-             if self._cluster_of.get(sender) == cluster),
-            reverse=True)
-        if len(levels) <= self._f:
-            return 0
-        return levels[self._f]
+        return self._tallies[cluster].confirmed

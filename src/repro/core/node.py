@@ -69,6 +69,11 @@ from repro.sim.kernel import Simulator
 #: ``NodeStats.reannounce_cap_hits`` / ``RunResult.reannounce_cap_hits``.
 MAX_REANNOUNCE_LEVELS = 64
 
+# Bound once: ``on_message`` tests the kind of every delivered pulse,
+# and an ``Enum`` member lookup costs a class-attribute access each.
+_MAX = PulseKind.MAX
+_SYNC = PulseKind.SYNC
+
 
 @dataclass
 class MaxEstimateConfig:
@@ -185,6 +190,9 @@ class FtgcsNode:
                 name=f"est[{node_id}->{b_cluster}]")
 
         self.max_estimate: MaxEstimate | None = None
+        #: MAX pulses are contentless and immutable: one object serves
+        #: every broadcast and re-announcement.
+        self._max_pulse = Pulse(sender=node_id, kind=_MAX)
         if max_estimate is not None and max_estimate.enabled:
             self.max_estimate = MaxEstimate(
                 sim, hardware, params.rho, max_estimate.unit, params.f,
@@ -344,7 +352,7 @@ class FtgcsNode:
             # (announced - level) levels — sound, but counted so runs
             # with long outages can tell the cap was binding.
             self.stats.reannounce_cap_hits += 1
-        pulse = Pulse(sender=self.node_id, kind=PulseKind.MAX)
+        pulse = self._max_pulse
         for member in members:
             for _ in range(level):
                 self._network.send(self.node_id, member, pulse)
@@ -360,8 +368,7 @@ class FtgcsNode:
             debug_round=self.core.current_round))
 
     def _broadcast_max_pulse(self) -> None:
-        self._network.broadcast(self.node_id, Pulse(
-            sender=self.node_id, kind=PulseKind.MAX))
+        self._network.broadcast(self.node_id, self._max_pulse)
 
     def on_message(self, message, receive_time: float) -> None:
         """Network handler: route pulses to the right engine."""
@@ -371,11 +378,12 @@ class FtgcsNode:
         if not isinstance(message, Pulse):
             self.stats.unknown_sender_pulses += 1
             return
-        if message.kind is PulseKind.MAX:
+        kind = message.kind
+        if kind is _MAX:
             if self.max_estimate is not None:
                 self.max_estimate.on_pulse(message.sender, receive_time)
             return
-        if message.kind is not PulseKind.SYNC:
+        if kind is not _SYNC:
             return  # other channels (e.g. PROPOSE) are not ours
         sender_cluster = self._cluster_of.get(message.sender)
         if sender_cluster is None:

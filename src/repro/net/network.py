@@ -375,9 +375,20 @@ class Network:
         neighbors = self._adjacency.get(sender)
         if neighbors is None:
             raise NetworkError(f"unknown node: {sender!r}")
-        now = self._sim.now
+        sim = self._sim
+        now = sim._now
+        queue = sim._queue
+        pending = self._pending
         inactive = self._inactive
         loss = self._loss
+        link_models = self._link_models
+        default_model = self._default_model
+        # Draws inside both the envelope and [0, inf) need no further
+        # check; anything else takes the full _validate_drawn path.
+        low = max(self._d - self._u - _ENVELOPE_TOL, 0.0)
+        high = self._d + _ENVELOPE_TOL
+        draining = self._draining
+        flush_key = self._flush_key
         copies = 0
         for receiver in neighbors:
             if inactive and (sender, receiver) in inactive:
@@ -386,11 +397,27 @@ class Network:
             if loss is not None and loss.drop(sender, receiver, now):
                 self.dropped_loss += 1
                 continue
-            model = self._model_for(sender, receiver)
+            model = (link_models.get((sender, receiver), default_model)
+                     if link_models else default_model)
+            if model is None:
+                model = self._model_for(sender, receiver)
             delay = model.draw(sender, receiver, now)
-            self._validate_drawn(model, delay)
+            if not low <= delay <= high:
+                self._validate_drawn(model, delay)
+                # A few-ulp negative draw inside the validation
+                # tolerance is clamped exactly like Simulator.call_in.
+                delay = max(delay, 0.0)
             self.messages_sent += 1
-            self._schedule_delivery(delay, receiver, message, sender)
+            # Inlined _schedule_delivery (see there for the rules).
+            time = now + delay
+            seq = queue._seq
+            queue._seq = seq + 1
+            heappush(pending, (time, seq, receiver, message, sender))
+            if not draining and (
+                    flush_key is None or time < flush_key[0]
+                    or (time == flush_key[0] and seq < flush_key[1])):
+                flush_key = self._flush_key = (time, seq)
+                sim.call_at_key(time, seq, self._flush_cb, time, seq)
             copies += 1
         return copies
 

@@ -1,9 +1,11 @@
 """Unit tests for the global-skew estimate M_v (Lemma C.2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clocks import ConstantRate, HardwareClock
-from repro.core.max_estimate import MaxEstimate
+from repro.core.max_estimate import MaxEstimate, _ClusterTally
 from repro.errors import ConfigError
 from repro.sim import Simulator
 
@@ -190,3 +192,191 @@ class TestFirstContactReset:
         # The quarantine clears after the first post-deadline pulse.
         est.on_pulse(1, sim.now + 1.1)
         assert est._sender_levels[1] == 2
+
+
+class TestStopStart:
+    def test_stop_cancels_level_alarm(self):
+        """Regression: stop() left its next-level alarm armed, so each
+        stop/start (a crash -> rejoin) added one more level chain."""
+        sim, est, sent = make_max(rho=0.0, unit=1.0, hw_rate=1.0)
+        est.start()
+        assert est._clock.pending_alarms() == 1
+        for _ in range(4):
+            sim.run(until=sim.now + 0.25)
+            est.stop()
+            assert est._clock.pending_alarms() == 0
+            est.start()
+            assert est._clock.pending_alarms() == 1
+        sim.run(until=10.0)
+        assert est._clock.pending_alarms() == 1
+        # One pulse per level crossed, none duplicated.
+        assert est.announced_level == 10
+        assert est.pulses_sent == len(sent) == 10
+
+    def test_stopped_estimate_announces_nothing(self):
+        sim, est, sent = make_max(rho=0.0, unit=1.0, hw_rate=1.0)
+        est.start()
+        sim.run(until=2.5)
+        est.stop()
+        sim.run(until=5.5)
+        assert len(sent) == 2
+        # Restarting announces the levels crossed while stopped.
+        est.start()
+        sim.run(until=5.6)
+        assert len(sent) == 5
+
+
+class TestClusterTally:
+    def test_matches_order_statistic(self):
+        tally = _ClusterTally(f=1)
+        levels = {}
+        for member in (1, 2, 3, 1, 1, 2, 3, 3, 3):
+            old = levels.get(member, 0)
+            levels[member] = old + 1
+            tally.raise_member(old, old + 1)
+            ranked = sorted(levels.values(), reverse=True)
+            assert tally.confirmed == (ranked[1] if len(ranked) > 1 else 0)
+
+    def test_counts_stay_bounded(self):
+        """Only levels above the confirmed one are kept: at most f."""
+        tally = _ClusterTally(f=2)
+        levels = [0, 0, 0, 0]
+        # Member 0 floods three pulses per turn and races ahead.
+        for member in [0, 0, 0, 1, 2, 3] * 100:
+            levels[member] += 1
+            tally.raise_member(levels[member] - 1, levels[member])
+            assert len(tally.counts) <= 2
+            assert tally.above == sum(tally.counts.values()) <= 2
+        assert tally.confirmed == 100
+
+    def test_raise_by_many_levels(self):
+        tally = _ClusterTally(f=1)
+        tally.raise_member(0, 7)
+        assert tally.confirmed == 0
+        tally.raise_member(0, 4)
+        assert tally.confirmed == 4
+        tally.raise_member(4, 9)
+        assert tally.confirmed == 7
+
+
+class TestJumpSkip:
+    def test_jump_to_called_only_for_new_confirmed_levels(self):
+        sim, est, _ = make_max(rho=0.1, unit=1.0, f=1, hw_rate=1.0)
+        est.start()
+        calls = []
+        jump_to = est._clock.jump_to
+        est._clock.jump_to = lambda value: (calls.append(value),
+                                            jump_to(value))[1]
+        for _ in range(3):
+            for sender in (1, 2, 3, 4):
+                est.on_pulse(sender, sim.now)
+        # Levels 1, 2, 3 each confirm once (at the second witness);
+        # the other pulses cannot raise M and skip the clock.
+        assert calls == [2.0, 3.0, 4.0]
+        assert est.jumps == 3
+
+
+class _SortDecodeMaxEstimate(MaxEstimate):
+    """Test reference: the sort-based decode the tally replaced.
+
+    Re-sorts every sender's level per pulse and calls ``jump_to`` on
+    every confirmed level; ``reset_sender`` only forgets the sender.
+    """
+
+    def reset_sender(self, sender, quarantine_until=None):
+        self._sender_levels.pop(sender, None)
+        if quarantine_until is not None:
+            self._quarantine[sender] = quarantine_until
+        self.sender_resets += 1
+
+    def on_pulse(self, sender, receive_time):
+        if not self._running:
+            return
+        self.pulses_received += 1
+        if self._quarantine:
+            until = self._quarantine.get(sender)
+            if until is not None:
+                if receive_time < until:
+                    self.quarantined_pulses += 1
+                    return
+                del self._quarantine[sender]
+        level = self._sender_levels.get(sender, 0) + 1
+        self._sender_levels[sender] = level
+        confirmed = self._confirmed_level(self._cluster_of.get(sender))
+        if confirmed <= 0:
+            return
+        target = confirmed * self._unit + self._transit_bonus
+        if self._clock.jump_to(target):
+            self.jumps += 1
+            self._announce_up_to(self._level_of(self.value()))
+
+    def _confirmed_level(self, cluster):
+        if cluster is None:
+            return 0
+        levels = sorted(
+            (lvl for sender, lvl in self._sender_levels.items()
+             if self._cluster_of.get(sender) == cluster),
+            reverse=True)
+        if len(levels) <= self._f:
+            return 0
+        return levels[self._f]
+
+
+def _build_pair(cluster_sizes, f):
+    """The incremental decode and the sort reference, each on its own
+    kernel with identical clocks; senders 100+ belong to no cluster."""
+    cluster_of = {}
+    for cluster, size in enumerate(cluster_sizes):
+        for i in range(size):
+            cluster_of[10 * cluster + i + 1] = cluster
+    pair = []
+    for cls in (MaxEstimate, _SortDecodeMaxEstimate):
+        sim = Simulator()
+        hw = HardwareClock(sim, ConstantRate(1.05), rho=0.1)
+        est = cls(sim, hw, 0.1, 1.0, f, cluster_of, 0.0,
+                  send_pulse=lambda: None, transit_bonus=0.5)
+        est.start()
+        pair.append((sim, est))
+    return cluster_of, pair
+
+
+_STEP = st.one_of(
+    st.tuples(st.just("pulse"), st.integers(0, 40),
+              st.sampled_from([0.0, 0.0, 0.05, 0.3]),
+              st.sampled_from([0.0, 0.0, 0.4, 1.5])),
+    st.tuples(st.just("reset"), st.integers(0, 40),
+              st.sampled_from([None, 0.5, 2.0]), st.just(0.0)),
+)
+
+
+class TestIncrementalDecodeMatchesSort:
+    @given(cluster_sizes=st.lists(st.integers(1, 5), min_size=2,
+                                  max_size=3),
+           f=st.integers(0, 2),
+           steps=st.lists(_STEP, max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_differential(self, cluster_sizes, f, steps):
+        cluster_of, pair = _build_pair(cluster_sizes, f)
+        senders = sorted(cluster_of) + [100, 101]
+        clusters = range(len(cluster_sizes))
+        (sim_a, fast), (sim_b, ref) = pair
+        for kind, pick, arg, advance in steps:
+            sender = senders[pick % len(senders)]
+            if advance:
+                sim_a.run(until=sim_a.now + advance)
+                sim_b.run(until=sim_b.now + advance)
+            if kind == "pulse":
+                fast.on_pulse(sender, sim_a.now + arg)
+                ref.on_pulse(sender, sim_b.now + arg)
+            else:
+                until = None if arg is None else sim_a.now + arg
+                fast.reset_sender(sender, quarantine_until=until)
+                ref.reset_sender(sender, quarantine_until=until)
+            for cluster in clusters:
+                assert (fast._confirmed_level(cluster)
+                        == ref._confirmed_level(cluster))
+            assert fast._confirmed_level(None) == 0
+            assert fast.value() == ref.value()
+            assert fast.jumps == ref.jumps
+            assert fast.pulses_sent == ref.pulses_sent
+            assert fast.quarantined_pulses == ref.quarantined_pulses

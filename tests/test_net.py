@@ -8,6 +8,7 @@ from repro.errors import NetworkError, SimulationError
 from repro.harness.serialize import content_hash
 from repro.net import (
     BiasedDelay,
+    DelayModel,
     ExtremalDelay,
     FixedDelay,
     Network,
@@ -196,6 +197,85 @@ class TestMessaging:
         net.send(0, 1, "x")
         sim.run(until=2.0)
         assert net.messages_delivered == 1
+
+
+class _OutOfModelDelay(DelayModel):
+    """Fault-injection model: a fixed draw the envelope does not bind."""
+
+    in_model = False
+
+    def __init__(self, delay):
+        self._delay = delay
+
+    def draw(self, sender, receiver, now):
+        return self._delay
+
+
+class TestBroadcastFastPath:
+    """``broadcast`` resolves models and bounds once per call; every
+    per-link and out-of-envelope rule of ``send`` still applies."""
+
+    def _star(self, net, times):
+        for i in range(3):
+            net.add_node(i, lambda m, t, i=i: times.append((i, t)))
+        net.add_link(0, 1)
+        net.add_link(0, 2)
+
+    def test_directional_override_used_by_broadcast(self):
+        sim, net = make_net(d=1.0, u=0.5, model=FixedDelay(1.0))
+        times = []
+        self._star(net, times)
+        net.set_link_delay_model(0, 1, FixedDelay(0.5), direction="ab")
+        assert net.broadcast(0, "out") == 2
+        sim.run(until=2.0)
+        assert times == [(1, pytest.approx(0.5)), (2, pytest.approx(1.0))]
+        times.clear()
+        net.broadcast(1, "back")  # the reverse direction keeps d
+        sim.run(until=4.0)
+        assert times == [(0, pytest.approx(3.0))]
+
+    @pytest.mark.parametrize("delay", [0.2, 1.5])
+    def test_in_model_draw_outside_envelope_rejected(self, delay):
+        sim, net = make_net(d=1.0, u=0.1, model=FixedDelay(delay))
+        self._star(net, [])
+        with pytest.raises(NetworkError, match="outside envelope"):
+            net.broadcast(0, "x")
+
+    @pytest.mark.parametrize("u, delay", [(0.1, -0.1), (1.0, -5e-10)])
+    def test_out_of_model_negative_draw_rejected(self, u, delay):
+        # With U = d the envelope tolerance reaches below zero; an
+        # out-of-model draw there must still fail the sign check.
+        sim, net = make_net(d=1.0, u=u, model=_OutOfModelDelay(delay))
+        self._star(net, [])
+        with pytest.raises(NetworkError, match="non-negative"):
+            net.broadcast(0, "x")
+
+    def test_out_of_model_draw_above_d_delivered(self):
+        sim, net = make_net(d=1.0, u=0.1, model=_OutOfModelDelay(3.0))
+        times = []
+        self._star(net, times)
+        assert net.broadcast(0, "late") == 2
+        assert net.messages_sent == 2
+        sim.run(until=5.0)
+        assert times == [(1, pytest.approx(3.0)), (2, pytest.approx(3.0))]
+
+    def test_negative_draw_inside_tolerance_clamped(self):
+        sim, net = make_net(d=1.0, u=1.0,
+                            model=PolicyDelay(lambda s, r, now: -5e-10))
+        times = []
+        self._star(net, times)
+        sim.run(until=0.5)
+        net.broadcast(0, "now")
+        sim.run(until=1.0)
+        assert times == [(1, 0.5), (2, 0.5)]
+
+    def test_missing_model_rejected(self):
+        sim = Simulator()
+        net = Network(sim, d=1.0, u=0.1)
+        self._star(net, [])
+        net.set_link_delay_model(0, 1, FixedDelay(1.0))
+        with pytest.raises(NetworkError, match="no delay model"):
+            net.broadcast(0, "x")
 
 
 class TestBatchedDelivery:
